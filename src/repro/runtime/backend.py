@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import abc
 import multiprocessing
+import os
+import threading
+import time
 from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -47,6 +50,47 @@ def mp_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
+
+
+#: How often a pool worker checks that the process that created its
+#: pool is still alive.
+_PARENT_POLL_S = 0.25
+
+
+def _watch_parent(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    # The pool's owner is gone (e.g. SIGKILLed). A forked worker holds
+    # both ends of its result pipe, so a pending write would never see
+    # EPIPE and the worker would block forever as an orphan.
+    os._exit(1)
+
+
+def _init_pool_worker(
+    parent_pid: int,
+    initializer: Optional[Callable[..., None]],
+    initargs: Tuple[Any, ...],
+) -> None:
+    threading.Thread(
+        target=_watch_parent, args=(parent_pid,), name="repro-parent-watch", daemon=True
+    ).start()
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def process_pool(
+    max_workers: int,
+    initializer: Optional[Callable[..., None]] = None,
+    initargs: Tuple[Any, ...] = (),
+) -> ProcessPoolExecutor:
+    """A local process pool whose workers exit when the creating
+    process dies, however it dies."""
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        mp_context=mp_context(),
+        initializer=_init_pool_worker,
+        initargs=(os.getpid(), initializer, initargs),
+    )
 
 
 class ExecutionBackend(abc.ABC):
@@ -186,7 +230,7 @@ class LocalBackend(ExecutionBackend):
 
     def _pool(self) -> Executor:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers, mp_context=mp_context())
+            self._executor = process_pool(self.workers)
         return self._executor
 
     def parallelism(self) -> int:

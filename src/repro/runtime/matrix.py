@@ -24,13 +24,12 @@ simulation, so the sweep is embarrassingly parallel:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.interop.runner import Scenario
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts, execute_cell
-from repro.runtime.backend import ExecutionBackend, LocalBackend, ResultObserver, mp_context
+from repro.runtime.backend import ExecutionBackend, LocalBackend, ResultObserver, process_pool
 from repro.runtime.batch_engine import ENGINE_SCALAR, BatchEngine, coerce_engine, execute_cells
 from repro.runtime.cache import ResultCache
 from repro.runtime.events import CellCompleted, EventSink, emit
@@ -344,12 +343,7 @@ def parallel_map(
             if initializer is not None:
                 initializer(*initargs)
             return [fn(*args) for args in tasks]
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(tasks)),
-            mp_context=mp_context(),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
+        with process_pool(min(workers, len(tasks)), initializer, initargs) as pool:
             futures = [pool.submit(call_task, fn, tuple(args)) for args in tasks]
             return [future.result() for future in futures]
     finally:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import ipaddress
+import re
 from typing import Dict, Optional, Tuple
 
 
@@ -37,12 +38,13 @@ CDN_AS_NUMBERS: Dict[Cdn, Tuple[int, ...]] = {
 #: A representative AS for "Others" (hosting services).
 OTHERS_ASN = 24940  # e.g. a large hoster
 
-#: Process-wide address → CDN memo. The synthetic routing table is a
-#: module constant, so the inference is the same for every
-#: :class:`AsDatabase` instance — sharing the memo lets repeated scan
-#: passes (vantages × days re-probing the same toplist) skip the
-#: ipaddress parsing that otherwise dominates a pass.
-_CDN_FOR_ADDRESS: Dict[str, "Cdn"] = {}
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+
+#: A canonical dotted-quad inside 10/8, capturing the second octet —
+#: exactly the strings ``ipaddress`` parses to such an address. Any
+#: other input takes the ``ipaddress`` path, so IPv6, malformed and
+#: out-of-range input behave as they always have.
+_TEN_SLASH_8 = re.compile(rf"10\.({_OCTET})\.{_OCTET}\.{_OCTET}")
 
 
 class AsDatabase:
@@ -55,6 +57,7 @@ class AsDatabase:
 
     def __init__(self) -> None:
         self._asn_to_prefix: Dict[int, ipaddress.IPv4Network] = {}
+        self._asn_to_dotted: Dict[int, str] = {}  # asn -> "10.<index>."
         self._prefix_index: Dict[int, int] = {}  # second octet -> asn
         index = 1
         all_asns = sorted(
@@ -63,6 +66,7 @@ class AsDatabase:
         for asn in all_asns:
             network = ipaddress.ip_network(f"10.{index}.0.0/16")
             self._asn_to_prefix[asn] = network
+            self._asn_to_dotted[asn] = f"10.{index}."
             self._prefix_index[index] = asn
             index += 1
         self._asn_to_cdn: Dict[int, Cdn] = {}
@@ -79,14 +83,22 @@ class AsDatabase:
 
     def address_in_asn(self, asn: int, host_index: int) -> str:
         """Deterministic address: the ``host_index``-th host of the
-        AS's prefix."""
-        network = self.prefix_for_asn(asn)
-        base = int(network.network_address)
-        size = network.num_addresses
-        return str(ipaddress.ip_address(base + 1 + (host_index % (size - 2))))
+        AS's prefix (network and broadcast addresses skipped)."""
+        try:
+            dotted = self._asn_to_dotted[asn]
+        except KeyError:
+            raise KeyError(f"ASN {asn} not in database") from None
+        # Every prefix is a /16, so the host offset fills exactly the
+        # last two octets.
+        offset = 1 + host_index % ((1 << 16) - 2)
+        return f"{dotted}{offset >> 8}.{offset & 0xFF}"
 
     def origin_asn(self, address: str) -> Optional[int]:
         """Longest-prefix-match lookup (here: the /16 second octet)."""
+        if type(address) is str:
+            match = _TEN_SLASH_8.fullmatch(address)
+            if match is not None:
+                return self._prefix_index.get(int(match.group(1)))
         ip = ipaddress.ip_address(address)
         if ip.version != 4:
             return None
@@ -99,13 +111,8 @@ class AsDatabase:
     def cdn_for_address(self, address: str) -> Cdn:
         """The paper's inference: IP → origin AS → CDN, with unknown
         origins grouped under "Others" (hosting services)."""
-        cached = _CDN_FOR_ADDRESS.get(address)
-        if cached is not None:
-            return cached
         asn = self.origin_asn(address)
-        cdn = Cdn.OTHERS if asn is None else self._asn_to_cdn.get(asn, Cdn.OTHERS)
-        _CDN_FOR_ADDRESS[address] = cdn
-        return cdn
+        return Cdn.OTHERS if asn is None else self._asn_to_cdn.get(asn, Cdn.OTHERS)
 
     def asns_for_cdn(self, cdn: Cdn) -> Tuple[int, ...]:
         if cdn is Cdn.OTHERS:

@@ -60,12 +60,16 @@ class CdnDeployment:
         share = min(1.0, max(0.0, share))
         return rng.random() < share
 
-    def sample_backend_delay_ms(self, rng: random.Random, diurnal: float = 0.0) -> float:
-        """Backend delay sample; ``diurnal`` in [0, 1] scales the
-        median up by up to 50 % (daytime load, Figure 9/Appendix G)."""
+    def backend_delay_mu(self, diurnal: float = 0.0) -> float:
+        """Lognormal ``mu`` of the backend delay; ``diurnal`` in
+        [0, 1] scales the median up by up to 50 % (daytime load,
+        Figure 9/Appendix G). The sigma is :attr:`backend_delay_sigma`."""
         median = self.backend_delay_median_ms * (1.0 + 0.5 * diurnal)
-        mu = math.log(max(median, 1e-3))
-        return rng.lognormvariate(mu, self.backend_delay_sigma)
+        return math.log(max(median, 1e-3))
+
+    def sample_backend_delay_ms(self, rng: random.Random, diurnal: float = 0.0) -> float:
+        """Backend delay sample (see :meth:`backend_delay_mu`)."""
+        return rng.lognormvariate(self.backend_delay_mu(diurnal), self.backend_delay_sigma)
 
     def sample_cert_cached(self, rng: random.Random, popularity: float = 0.0) -> bool:
         """Certificate cache hit; only very popular domains see warm

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.wild.asdb import Cdn
 from repro.wild.cdn import deployment_for
@@ -31,9 +31,14 @@ from repro.wild.vantage import VantagePoint
 WEEK_MINUTES = 7 * 24 * 60
 
 
-@dataclass(frozen=True)
-class LongitudinalSample:
-    """One connection's dissected response."""
+class LongitudinalSample(NamedTuple):
+    """One connection's dissected response.
+
+    A named tuple rather than a dataclass: a study week builds
+    hundreds of thousands of these, and a tuple is the cheapest
+    immutable record both to build and to pickle back from a pool
+    worker.
+    """
 
     minute: int
     domain: str
@@ -142,89 +147,82 @@ class CloudflareLongitudinalStudy:
         misconfiguration of Figure 15 drops those samples).
         """
         rng = random.Random(f"cf:{self.seed}:{self.vantage.name}")
+        random_, uniform, lognormvariate = rng.random, rng.uniform, rng.lognormvariate
         edge = CloudflareEdge(iata=self.vantage.iata)
         outages = set(outage_minutes or ())
         deployment = deployment_for(Cdn.CLOUDFLARE)
-        samples: List[LongitudinalSample] = []
+        rtt_mu, rtt_sigma = self.vantage.rtt_lognormal(Cdn.CLOUDFLARE)
+        backend_sigma = deployment.backend_delay_sigma
+        vantage_name = self.vantage.name
+        own_domains = set(self.own_domains)
+
+        def connection(domain: str, fast: bool) -> Tuple[str, float, bool, bool, bool]:
+            return (
+                domain,
+                self.popular_background_warmth.get(domain, 0.0),
+                fast,
+                domain in own_domains,
+                domain in self.broken_sh_domains,
+            )
+
+        # Every minute makes the same connections in the same order:
+        # 1/min to six own (slow) + six popular domains, then 60/min to
+        # the fast-rate own domains, of which two per domain are
+        # sampled for the analysis (the paper analyzes all; a fixed
+        # sample per minute preserves the distribution).
         slow_domains = [d for d in self.own_domains if d not in self.fast_rate_domains]
+        schedule = [connection(d, False) for d in slow_domains + self.popular_domains]
+        schedule += [connection(d, True) for d in self.fast_rate_domains for _ in range(2)]
+
+        samples: List[LongitudinalSample] = []
+        append = samples.append
         for minute in range(minutes):
             if minute in outages:
                 continue
-            # 1/min to six own (slow) + six popular domains.
-            for domain in slow_domains + self.popular_domains:
-                samples.append(
-                    self._one_connection(domain, minute, rng, edge, deployment)
-                )
-            # 60/min to the fast-rate own domains: sample one of the
-            # sixty connections for the analysis (the paper analyzes
-            # all; one per minute preserves the distribution).
-            for domain in self.fast_rate_domains:
-                for _ in range(2):
-                    samples.append(
-                        self._one_connection(
-                            domain, minute, rng, edge, deployment, fast=True
-                        )
+            now = float(minute)
+            backend_mu = deployment.backend_delay_mu(diurnal_factor(minute))
+            for domain, background, fast, own, broken_sh in schedule:
+                rtt = max(0.3, lognormvariate(rtt_mu, rtt_sigma))
+                # ~1.5 % of responses come from another city's cluster
+                # and are filtered out; ~1 % lose the first ACK to
+                # packet loss.
+                same_city = random_() > 0.015
+                has_first_ack = random_() > 0.01
+                warm = edge.lookup_and_refresh(domain, now)
+                if not warm and background > 0.0:
+                    warm = random_() < background
+                if fast:
+                    # 60 connections/min keep the edge warm part of the
+                    # time ("we receive coalesced ACKs and ServerHellos
+                    # more likely (7.5 %)", §4.3).
+                    warm = warm or random_() < 0.075
+                elif own:
+                    # Our 1/min own domains almost always (99.9 %) get
+                    # an IACK.
+                    warm = warm and random_() < 0.02
+                # Median IACK→SH gaps per vantage are 2.1–2.6 ms
+                # (§4.3); same-city backend fetches are faster than the
+                # global Fig. 8 population, so scale down (0.52 lands
+                # the overall median at ~2.1 ms once the diurnal factor
+                # is averaged in).
+                backend = max(0.3, lognormvariate(backend_mu, backend_sigma) * 0.52)
+                ack_latency = rtt / 2.0 + uniform(0.05, 0.3) + rtt / 2.0
+                if broken_sh:
+                    kind, sh_latency = "ACK", None
+                elif warm:
+                    # Coalesced ACK–SH: SH in coalesced messages
+                    # arrives faster than a separate SH (Figure 9).
+                    kind = "ACK,SH"
+                    ack_latency = sh_latency = ack_latency + uniform(0.05, 0.4)
+                else:
+                    kind, sh_latency = "SH", ack_latency + backend
+                append(
+                    LongitudinalSample(
+                        minute, domain, vantage_name, edge.iata, same_city,
+                        has_first_ack, kind, ack_latency, sh_latency,
                     )
+                )
         return samples
-
-    def _one_connection(
-        self,
-        domain: str,
-        minute: int,
-        rng: random.Random,
-        edge: CloudflareEdge,
-        deployment,
-        fast: bool = False,
-    ) -> LongitudinalSample:
-        rtt = self.vantage.sample_rtt_ms(Cdn.CLOUDFLARE, rng)
-        # ~1.5 % of responses come from another city's cluster and are
-        # filtered out; ~1 % lose the first ACK to packet loss.
-        same_city = rng.random() > 0.015
-        has_first_ack = rng.random() > 0.01
-        warm = edge.lookup_and_refresh(domain, float(minute))
-        background = self.popular_background_warmth.get(domain, 0.0)
-        if not warm and background > 0.0:
-            warm = rng.random() < background
-        if fast:
-            # 60 connections/min keep the edge warm part of the time
-            # ("we receive coalesced ACKs and ServerHellos more likely
-            # (7.5 %)", §4.3).
-            warm = warm or rng.random() < 0.075
-        else:
-            # Our 1/min own domains almost always (99.9 %) get an IACK.
-            if domain in self.own_domains:
-                warm = warm and rng.random() < 0.02
-        diurnal = diurnal_factor(minute)
-        backend = deployment.sample_backend_delay_ms(rng, diurnal=diurnal)
-        # Median IACK→SH gaps per vantage are 2.1–2.6 ms (§4.3);
-        # same-city backend fetches are faster than the global Fig. 8
-        # population, so scale down (0.52 lands the overall median at
-        # ~2.1 ms once the diurnal factor is averaged in).
-        backend = max(0.3, backend * 0.52)
-        ack_latency = rtt / 2.0 + rng.uniform(0.05, 0.3) + rtt / 2.0
-        if domain in self.broken_sh_domains:
-            return LongitudinalSample(
-                minute=minute, domain=domain, vantage=self.vantage.name,
-                iata=edge.iata, same_city=same_city,
-                has_first_ack=has_first_ack, kind="ACK",
-                ack_latency_ms=ack_latency, sh_latency_ms=None,
-            )
-        if warm:
-            # Coalesced ACK–SH: SH in coalesced messages arrives
-            # faster than a separate SH (Figure 9).
-            latency = ack_latency + rng.uniform(0.05, 0.4)
-            return LongitudinalSample(
-                minute=minute, domain=domain, vantage=self.vantage.name,
-                iata=edge.iata, same_city=same_city,
-                has_first_ack=has_first_ack, kind="ACK,SH",
-                ack_latency_ms=latency, sh_latency_ms=latency,
-            )
-        return LongitudinalSample(
-            minute=minute, domain=domain, vantage=self.vantage.name,
-            iata=edge.iata, same_city=same_city,
-            has_first_ack=has_first_ack, kind="SH",
-            ack_latency_ms=ack_latency, sh_latency_ms=ack_latency + backend,
-        )
 
 
 def filter_valid(samples: Iterable[LongitudinalSample]) -> List[LongitudinalSample]:

@@ -13,8 +13,7 @@ The prober has three engines:
   (the reference implementation);
 * the **batch engine** (:meth:`QScanner.probe_batch`), which samples
   the identical per-domain distributions from a single per-pass rng
-  stream and precomputes the per-(vantage, day, CDN) share bias once
-  instead of re-deriving it per domain. It is several times faster and
+  stream instead of one seeded rng per domain. It is faster and
   statistically equivalent (cross-validated in the test suite), but
   draws different concrete samples than the analytic engine. A pass is
   deterministic in ``(seed, vantage, day, domain order)`` and must run
@@ -27,8 +26,7 @@ The prober has three engines:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.interop.runner import Runner, Scenario
 from repro.quic.server import ServerMode
@@ -38,9 +36,13 @@ from repro.wild.tranco import TrancoDomain
 from repro.wild.vantage import VantagePoint
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeResult:
-    """One probed domain, as the paper's dissector would record it."""
+class ProbeResult(NamedTuple):
+    """One probed domain, as the paper's dissector would record it.
+
+    A named tuple: a scan builds one per probe, and a tuple is the
+    cheapest immutable record to build and to pickle back from a
+    pool worker.
+    """
 
     domain: str
     rank: int
@@ -79,6 +81,24 @@ class QScanner:
         self.seed = seed
         self.use_emulation = use_emulation
         self.asdb = AsDatabase()
+        self._share_bias: Dict[Tuple[int, Cdn], float] = {}
+
+    def share_bias(self, day: int, cdn: Cdn) -> float:
+        """The vantage/day shift of one CDN's observed deployment share.
+
+        Amazon varies by up to 18 % across vantage points (Table 1).
+        The paper reports the *maximum* share across measurements, so
+        the bias only lowers the share from its tabled value. The value
+        depends only on ``(vantage, day, cdn)`` — never on the scanner
+        seed — and every engine uses it; it is derived once per scanner
+        instead of once per probe.
+        """
+        key = (day, cdn)
+        bias = self._share_bias.get(key)
+        if bias is None:
+            bias = random.Random(f"bias:{self.vantage.name}:{day}:{cdn.value}").uniform(-1.0, 0.0)
+            self._share_bias[key] = bias
+        return bias
 
     def probe(
         self,
@@ -104,7 +124,7 @@ class QScanner:
         )
         if self.use_emulation:
             return self._probe_emulated(domain, deployment, rng, day)
-        return self._probe_analytic(domain, deployment, rng, day)
+        return self._sample_probe(domain, deployment, rng, day, self.share_bias(day, domain.cdn))
 
     # ------------------------------------------------------------------
     # batch engine
@@ -121,8 +141,7 @@ class QScanner:
         same vantage/day share bias); the sampling draws come from one
         per-pass stream, making the pass both deterministic and cheap —
         no per-domain ``random.Random`` construction. The share bias is
-        the exact per-(vantage, day, CDN) value the analytic engine
-        derives, computed once per pass.
+        the analytic engine's (:meth:`share_bias`).
         """
         if self.use_emulation:
             raise ValueError(
@@ -131,23 +150,13 @@ class QScanner:
                 "emulation engine actually runs"
             )
         rng = random.Random(f"probe-batch:{self.seed}:{self.vantage.name}:{day}")
-        bias_cache: Dict[Cdn, float] = {}
         results: List[ProbeResult] = []
         for domain in domains:
-            if not domain.answers_quic:
-                continue
-            if domain.cdn is None or domain.address is None:
-                continue
             cdn = domain.cdn
-            deployment = deployment_for(cdn)
-            bias = bias_cache.get(cdn)
-            if bias is None:
-                bias = random.Random(
-                    f"bias:{self.vantage.name}:{day}:{cdn.value}"
-                ).uniform(-1.0, 0.0)
-                bias_cache[cdn] = bias
+            if cdn is None or domain.address is None:
+                continue
             results.append(
-                self._sample_probe(domain, deployment, rng, day, bias)
+                self._sample_probe(domain, deployment_for(cdn), rng, day, self.share_bias(day, cdn))
             )
         return results
 
@@ -185,38 +194,20 @@ class QScanner:
         ack_delay_field = deployment.sample_ack_delay_field_ms(
             rng, rtt, coalesced=coalesced
         )
+        # Positional (field order) on this per-probe path.
         return ProbeResult(
-            domain=domain.name,
-            rank=domain.rank,
-            address=domain.address,
-            cdn=self.asdb.cdn_for_address(domain.address),
-            vantage=self.vantage.name,
-            day=day,
-            rtt_ms=rtt,
-            iack_observed=iack_observed,
-            coalesced=coalesced,
-            ack_to_sh_delay_ms=delay,
-            ack_delay_field_ms=ack_delay_field,
+            domain.name,
+            domain.rank,
+            domain.address,
+            self.asdb.cdn_for_address(domain.address),
+            self.vantage.name,
+            day,
+            rtt,
+            iack_observed,
+            coalesced,
+            delay,
+            ack_delay_field,
         )
-
-    # ------------------------------------------------------------------
-    # analytic engine
-    # ------------------------------------------------------------------
-
-    def _probe_analytic(
-        self,
-        domain: TrancoDomain,
-        deployment: CdnDeployment,
-        rng: random.Random,
-        day: int,
-    ) -> ProbeResult:
-        # Vantage/day bias shifts the observed deployment share —
-        # Amazon varies by up to 18 % across vantage points (Table 1).
-        # The paper reports the *maximum* share across measurements,
-        # so the bias only lowers the share from its tabled value.
-        bias_rng = random.Random(f"bias:{self.vantage.name}:{day}:{domain.cdn.value}")
-        bias = bias_rng.uniform(-1.0, 0.0)
-        return self._sample_probe(domain, deployment, rng, day, bias)
 
     # ------------------------------------------------------------------
     # emulation engine (cross-validation on samples)
@@ -230,10 +221,7 @@ class QScanner:
         day: int,
     ) -> ProbeResult:
         rtt = self.vantage.sample_rtt_ms(domain.cdn, rng)
-        bias_rng = random.Random(f"bias:{self.vantage.name}:{day}:{domain.cdn.value}")
-        iack_enabled = deployment.sample_iack_enabled(
-            rng, bias=bias_rng.uniform(-1.0, 0.0)
-        )
+        iack_enabled = deployment.sample_iack_enabled(rng, bias=self.share_bias(day, domain.cdn))
         cached = deployment.sample_cert_cached(rng, popularity=domain.popularity)
         backend_delay = 0.0 if cached else deployment.sample_backend_delay_ms(rng)
         scenario = Scenario(

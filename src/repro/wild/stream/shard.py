@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
+from repro.wild.asdb import Cdn
 from repro.wild.qscanner import QScanner, scan_with_engine
 from repro.wild.stream.sketch import SKETCH_VERSION, ScanSketch
 from repro.wild.stream.source import source_from_spec
@@ -108,8 +109,8 @@ class ShardProbeTask:
             sketch.observe_target(domain.cdn.value if domain.cdn is not None else None)
             if domain.answers_quic:
                 quic_targets.append(domain)
-        #: domain name → (cdn value, IACK observed in any pass)
-        iack_any: Dict[str, Tuple[str, bool]] = {}
+        #: domain name → (cdn, IACK observed in any pass)
+        iack_any: Dict[str, Tuple[Cdn, bool]] = {}
         for vantage_name in self.vantage_names:
             scanner = QScanner(vantage(vantage_name), seed=self.probe_seed)
             for day in range(self.days):
@@ -119,9 +120,9 @@ class ShardProbeTask:
                     sketch.observe_probe(probe)
                     prior = iack_any.get(probe.domain)
                     observed = probe.iack_observed or (prior[1] if prior else False)
-                    iack_any[probe.domain] = (probe.cdn.value, observed)
-        for cdn_value, observed in iack_any.values():
-            sketch.observe_domain_iack(cdn_value, observed)
+                    iack_any[probe.domain] = (probe.cdn, observed)
+        for cdn, observed in iack_any.values():
+            sketch.observe_domain_iack(cdn.value, observed)
         return ShardOutcome(
             scenario=None,
             seed=seed,

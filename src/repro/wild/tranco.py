@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.wild.asdb import AsDatabase, Cdn
 from repro.wild.cdn import DEPLOYMENTS
@@ -70,22 +70,31 @@ class _FeistelPermutation:
         self.round_keys: Tuple[int, ...] = tuple(
             key_rng.getrandbits(64) for _ in range(self.ROUNDS)
         )
-
-    def _encrypt(self, value: int) -> int:
-        mask = (1 << self.half_bits) - 1
-        left = value >> self.half_bits
-        right = value & mask
-        for key in self.round_keys:
-            left, right = right, left ^ (_mix64(right ^ key) & mask)
-        return (left << self.half_bits) | right
+        # Per-round memo of the masked round function. A round only
+        # ever sees 2**half_bits (< 2·√size) distinct inputs, so after
+        # a few thousand ranks nearly every round is a dict hit instead
+        # of a 64-bit mix; the memo is bounded by that count and by the
+        # calls made, and lives exactly as long as the permutation.
+        self._rounds: Tuple[Tuple[int, Dict[int, int]], ...] = tuple(
+            (key, {}) for key in self.round_keys
+        )
 
     def __call__(self, value: int) -> int:
         if not 0 <= value < self.size:
             raise ValueError(f"value {value} outside permutation range [0, {self.size})")
-        value = self._encrypt(value)
-        while value >= self.size:  # cycle-walk back into range
-            value = self._encrypt(value)
-        return value
+        half_bits = self.half_bits
+        mask = (1 << half_bits) - 1
+        while True:  # cycle-walk back into range
+            left = value >> half_bits
+            right = value & mask
+            for key, memo in self._rounds:
+                mixed = memo.get(right)
+                if mixed is None:
+                    mixed = memo[right] = _mix64(right ^ key) & mask
+                left, right = right, left ^ mixed
+            value = (left << half_bits) | right
+            if value < self.size:
+                return value
 
 
 @dataclass(frozen=True)
@@ -128,17 +137,16 @@ class TrancoGenerator:
         # Slot layout: the first scaled_count(cdn) permuted slots (in
         # Cdn declaration order, clipped to the list size) host each
         # CDN; everything past the QUIC total answers nothing.
-        self._spans: List[Tuple[int, Cdn]] = []  # (start_slot, cdn)
+        self._spans: List[Tuple[int, Cdn, Tuple[int, ...]]] = []  # (start_slot, cdn, asns)
         self._span_ends: List[int] = []
         cursor = 0
         for cdn in Cdn:
             count = min(self.scaled_count(cdn), self.list_size - cursor)
             if count > 0:
-                self._spans.append((cursor, cdn))
+                self._spans.append((cursor, cdn, self.asdb.asns_for_cdn(cdn)))
                 cursor += count
                 self._span_ends.append(cursor)
         self._quic_total = cursor
-        self._asns = {cdn: self.asdb.asns_for_cdn(cdn) for _, cdn in self._spans}
         self._permute = _FeistelPermutation(self.list_size, f"tranco:{self.seed}")
 
     def scaled_count(self, cdn: Cdn) -> int:
@@ -155,9 +163,8 @@ class TrancoGenerator:
         if slot >= self._quic_total:
             return TrancoDomain(rank=rank, name=name, cdn=None, address=None)
         span = bisect_right(self._span_ends, slot)
-        start, cdn = self._spans[span]
+        start, cdn, asns = self._spans[span]
         host_index = slot - start
-        asns = self._asns[cdn]
         asn = asns[host_index % len(asns)]
         address = self.asdb.address_in_asn(asn, host_index)
         return TrancoDomain(rank=rank, name=name, cdn=cdn, address=address)

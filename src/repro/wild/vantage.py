@@ -11,9 +11,10 @@ servers can be anywhere.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.wild.asdb import Cdn
 
@@ -31,17 +32,16 @@ class VantagePoint:
     #: Median RTT to arbitrary ("Others") servers.
     others_rtt_median_ms: float
 
+    def rtt_lognormal(self, cdn: Cdn) -> Tuple[float, float]:
+        """``(mu, sigma)`` of the lognormal path RTT to the given CDN."""
+        if cdn is Cdn.OTHERS:
+            return math.log(self.others_rtt_median_ms), 0.9
+        return math.log(self.cdn_rtt_median_ms), self.cdn_rtt_jitter
+
     def sample_rtt_ms(self, cdn: Cdn, rng: random.Random) -> float:
         """Path RTT from this vantage to a server of the given CDN."""
-        if cdn is Cdn.OTHERS:
-            base = self.others_rtt_median_ms
-            spread = 0.9
-        else:
-            base = self.cdn_rtt_median_ms
-            spread = self.cdn_rtt_jitter
-        import math
-
-        return max(0.3, rng.lognormvariate(math.log(base), spread))
+        mu, sigma = self.rtt_lognormal(cdn)
+        return max(0.3, rng.lognormvariate(mu, sigma))
 
 
 #: The four vantage points of the paper, with RTT medians chosen so

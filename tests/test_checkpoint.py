@@ -128,7 +128,7 @@ def test_checkpoint_dir_with_shared_runner_rejected():
 # -- the acceptance criterion: SIGKILL the coordinator, resume ----------
 
 
-def run_cli(args, cwd, wait=True):
+def run_cli(args, cwd, wait=True, new_session=False):
     env = dict(os.environ)
     env.pop("REPRO_AUTH_KEY", None)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
@@ -140,10 +140,51 @@ def run_cli(args, cwd, wait=True):
         cwd=cwd,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=new_session,
     )
     if wait:
         assert proc.wait(timeout=300) == 0
     return proc
+
+
+def live_group_members(pgid):
+    """PIDs of the not-yet-exited processes in a process group (zombies
+    awaiting their reaper count as gone)."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+def assert_group_exits(pgid, timeout=10.0):
+    """The whole process group must be gone within ``timeout``; on
+    failure the survivors are killed so they cannot outlive the test."""
+    deadline = time.monotonic() + timeout
+    while live_group_members(pgid):
+        if time.monotonic() > deadline:
+            survivors = live_group_members(pgid)
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            pytest.fail(f"processes {survivors} outlived their SIGKILLed coordinator")
+        time.sleep(0.05)
 
 
 def test_coordinator_sigkill_then_resume_bundle_byte_identical(tmp_path):
@@ -157,10 +198,13 @@ def test_coordinator_sigkill_then_resume_bundle_byte_identical(tmp_path):
 
     ckpt_dir = tmp_path / "ckpt"
     out_dir = tmp_path / "resumed"
+    # its own session, so its pool workers share a process group
+    # that must empty once the coordinator dies
     victim = run_cli(
         ["run", *selection, "--resume", str(ckpt_dir), "--out", str(out_dir)],
         cwd=tmp_path,
         wait=False,
+        new_session=True,
     )
     # SIGKILL as soon as the first journal segment lands (mid-suite)
     deadline = time.monotonic() + 120
@@ -171,6 +215,7 @@ def test_coordinator_sigkill_then_resume_bundle_byte_identical(tmp_path):
     victim.kill()
     victim.wait(timeout=60)
     assert victim.returncode == -signal.SIGKILL
+    assert_group_exits(victim.pid)
     assert not (out_dir / "suite.json").exists()  # it really died mid-run
     journaled = list(ckpt_dir.glob("cells-*.pkl"))
     assert journaled  # partial progress survived the kill
