@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.qlog.events import MetricsUpdated, PacketEvent, QlogEvent
 
@@ -69,6 +69,17 @@ class QlogWriter:
         if not self.record_events:
             return
         self.events.append(self._stamp(event))
+
+    def log_packet_at(self, time_ms: float, **fields: Any) -> None:
+        """Log ``PacketEvent(time_ms=time_ms, **fields)``.
+
+        The form the per-packet path uses: the event is built once,
+        with the quantized time, so :meth:`_stamp` passes it through
+        instead of building it a second time.
+        """
+        if not self.record_events:
+            return
+        self.log_packet(PacketEvent(time_ms=self.policy.quantize(time_ms), **fields))
 
     def log_metrics(self, event: MetricsUpdated) -> None:
         """Log a recovery:metrics_updated event, subject to policy.

@@ -119,28 +119,31 @@ def pad_initial(packets: List[Packet], minimum: int = INITIAL_MIN_DATAGRAM) -> L
     return padded
 
 
-def coalesce(
+def coalesce_groups(
     packets: Iterable[Packet],
     max_datagram_size: int = MAX_DATAGRAM_SIZE,
-    sender: str = "",
-) -> List[Datagram]:
-    """Greedily pack packets into datagrams of at most ``max_datagram_size``.
+) -> List[List[Packet]]:
+    """Greedily pack packets into groups of at most ``max_datagram_size``
+    bytes, one group per datagram.
 
-    Packets larger than the limit get a datagram of their own (the
+    Packets larger than the limit get a group of their own (the
     simulation treats path MTU as not enforced for such packets, which
-    does not occur with the default frame sizing).
+    does not occur with the default frame sizing). Senders pad a group
+    before wrapping it in a :class:`Datagram`, so the grouping is
+    returned unwrapped.
     """
-    datagrams: List[Datagram] = []
+    groups: List[List[Packet]] = []
     current: List[Packet] = []
     current_size = 0
     for packet in packets:
         size = packet.wire_size()
         if current and current_size + size > max_datagram_size:
-            datagrams.append(Datagram(packets=tuple(current), sender=sender))
+            groups.append(current)
             current = []
             current_size = 0
         current.append(packet)
         current_size += size
     if current:
-        datagrams.append(Datagram(packets=tuple(current), sender=sender))
-    return datagrams
+        groups.append(current)
+    return groups
+

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.impls.profile import ImplProfile
-from repro.qlog.events import EventCategory, MetricsUpdated, PacketEvent
+from repro.qlog.events import EventCategory, MetricsUpdated
 from repro.qlog.writer import QlogWriter
 from repro.quic.cc import make_controller
 from repro.quic.cid import CidRegistry
-from repro.quic.coalescing import Datagram, coalesce, pad_initial
+from repro.quic.coalescing import Datagram, coalesce_groups, pad_initial
 from repro.quic.frames import (
     AckFrame,
     ConnectionCloseFrame,
@@ -29,7 +29,6 @@ from repro.quic.frames import (
     HandshakeDoneFrame,
     NewConnectionIdFrame,
     PingFrame,
-    RetireConnectionIdFrame,
     StreamFrame,
 )
 from repro.quic.packet import INITIAL_MIN_DATAGRAM, Packet, PacketType, Space
@@ -393,51 +392,51 @@ class Endpoint:
             if ack_state.oldest_unacked_ms is None:
                 ack_state.oldest_unacked_ms = self.loop.now
         newly_acked: List[int] = []
+        first_ack: Optional[AckFrame] = None
+        # Dispatch on the exact frame class. PADDING, PING, MAX_DATA and
+        # RETIRE_CONNECTION_ID (the peer retired one of our CIDs) need
+        # no handling.
         for frame in packet.frames:
-            if isinstance(frame, AckFrame):
-                acked = self._handle_ack(space, frame)
-                newly_acked.extend(acked)
-            elif isinstance(frame, CryptoFrame):
+            kind = type(frame)
+            if kind is AckFrame:
+                if first_ack is None:
+                    first_ack = frame
+                newly_acked.extend(self._handle_ack(space, frame))
+            elif kind is CryptoFrame:
                 self._handle_crypto(space, frame, dgram)
-            elif isinstance(frame, StreamFrame):
+            elif kind is StreamFrame:
                 self._handle_stream(frame)
-            elif isinstance(frame, HandshakeDoneFrame):
+            elif kind is HandshakeDoneFrame:
                 self.on_handshake_done()
-            elif isinstance(frame, NewConnectionIdFrame):
+            elif kind is NewConnectionIdFrame:
                 self._handle_new_cid(frame)
-            elif isinstance(frame, RetireConnectionIdFrame):
-                pass  # peer retired one of our CIDs; nothing to do
-            elif isinstance(frame, ConnectionCloseFrame):
+            elif kind is ConnectionCloseFrame:
                 self.abort(f"peer closed: {frame.reason}")
                 return
-        self._record_first_ack(packet, dgram)
+        if first_ack is not None and self.stats.first_ack_received_ms is None:
+            self._record_first_ack(dgram)
         if not self._qlog_record:
             return
-        extra_data = {}
-        acks = packet.ack_frames()
-        if acks:
-            extra_data["first_ack_delay_ms"] = acks[0].ack_delay_ms
-        self.qlog.log_packet(
-            PacketEvent(
-                time_ms=self.loop.now,
-                category=EventCategory.TRANSPORT,
-                name="packet_received",
-                data=extra_data,
-                packet_type=packet.packet_type.value,
-                packet_number=packet.packet_number,
-                space=space.name.lower(),
-                size=packet.wire_size(),
-                ack_eliciting=packet.ack_eliciting,
-                frames=tuple(f.describe() for f in packet.frames),
-                newly_acked=tuple(newly_acked),
-            )
+        self.qlog.log_packet_at(
+            self.loop.now,
+            category=EventCategory.TRANSPORT,
+            name="packet_received",
+            data=(
+                {"first_ack_delay_ms": first_ack.ack_delay_ms}
+                if first_ack is not None
+                else {}
+            ),
+            packet_type=packet.packet_type.value,
+            packet_number=packet.packet_number,
+            space=space.name.lower(),
+            size=packet.wire_size(),
+            ack_eliciting=packet.ack_eliciting,
+            frames=tuple([f.describe() for f in packet.frames]),
+            newly_acked=tuple(newly_acked),
         )
 
-    def _record_first_ack(self, packet: Packet, dgram: Optional[Datagram]) -> None:
-        if self.stats.first_ack_received_ms is not None:
-            return
-        if not packet.ack_frames():
-            return
+    def _record_first_ack(self, dgram: Optional[Datagram]) -> None:
+        """The first ACK frame from the peer just arrived in ``dgram``."""
         self.stats.first_ack_received_ms = self.loop.now
         coalesced = False
         if dgram is not None:
@@ -459,11 +458,15 @@ class Endpoint:
 
     # -- ACK processing -------------------------------------------------
 
-    def _handle_ack(self, space: Space, ack: AckFrame) -> List[int]:
-        result = self.recovery.on_ack_received(space, ack, self.loop.now)
+    def _handle_ack(self, space: Space, ack: AckFrame) -> Sequence[int]:
+        """Process one ACK frame; returns the newly acknowledged packet
+        numbers when qlog records them (only the qlog event needs
+        them), else an empty tuple."""
+        now = self.loop.now
+        result = self.recovery.on_ack_received(space, ack, now)
         for sp in result.newly_acked:
             if sp.in_flight:
-                self.cc.on_packet_acked(sp.size, sp.time_sent_ms, now_ms=self.loop.now)
+                self.cc.on_packet_acked(sp.size, sp.time_sent_ms, now_ms=now)
             self._mark_frames_acked(space, sp)
         if result.rtt_sample_ms is not None:
             if self.stats.first_rtt_sample_ms is None:
@@ -472,7 +475,7 @@ class Endpoint:
             est = self.recovery.estimator
             self.qlog.log_metrics(
                 MetricsUpdated(
-                    time_ms=self.loop.now,
+                    time_ms=now,
                     category=EventCategory.RECOVERY,
                     name="metrics_updated",
                     smoothed_rtt_ms=est.smoothed_rtt,
@@ -484,6 +487,8 @@ class Endpoint:
             )
         if result.lost:
             self._on_packets_lost(space, result.lost)
+        if not self._qlog_record:
+            return ()
         return [sp.packet_number for sp in result.newly_acked]
 
     def _mark_frames_acked(self, space: Space, sp: SentPacket) -> None:
@@ -659,7 +664,7 @@ class Endpoint:
         if group_into_datagrams is not None:
             groups = group_into_datagrams
         else:
-            groups = [list(d.packets) for d in coalesce(packets, sender=self.name)]
+            groups = coalesce_groups(packets)
         for group in groups:
             if self.is_client and any(
                 p.packet_type is PacketType.INITIAL for p in group
@@ -682,29 +687,29 @@ class Endpoint:
         size = dgram.size
         if not self._may_send_now(size, dgram, is_probe):
             return
+        now = self.loop.now
+        on_packet_sent = self.recovery.on_packet_sent
+        cc_on_packet_sent = self.cc.on_packet_sent
+        qlog = self.qlog if self._qlog_record else None
         for packet in dgram.packets:
-            self.recovery.on_packet_sent(
-                packet, self.loop.now, packet.wire_size(), in_flight=True,
-                is_probe=is_probe,
-            )
-            self.cc.on_packet_sent(packet.wire_size())
+            packet_size = packet.wire_size()
+            on_packet_sent(packet, now, packet_size, in_flight=True, is_probe=is_probe)
+            cc_on_packet_sent(packet_size)
             if is_probe and packet.packet_type is PacketType.INITIAL and any(
                 isinstance(f, PingFrame) for f in packet.frames
             ):
                 self._initial_ping_pns.setdefault(packet.packet_number, False)
-            if self._qlog_record:
-                self.qlog.log_packet(
-                    PacketEvent(
-                        time_ms=self.loop.now,
-                        category=EventCategory.TRANSPORT,
-                        name="packet_sent",
-                        packet_type=packet.packet_type.value,
-                        packet_number=packet.packet_number,
-                        space=packet.space.name.lower(),
-                        size=packet.wire_size(),
-                        ack_eliciting=packet.ack_eliciting,
-                        frames=tuple(f.describe() for f in packet.frames),
-                    )
+            if qlog is not None:
+                qlog.log_packet_at(
+                    now,
+                    category=EventCategory.TRANSPORT,
+                    name="packet_sent",
+                    packet_type=packet.packet_type.value,
+                    packet_number=packet.packet_number,
+                    space=packet.space.name.lower(),
+                    size=packet_size,
+                    ack_eliciting=packet.ack_eliciting,
+                    frames=tuple([f.describe() for f in packet.frames]),
                 )
         self.stats.datagrams_sent += 1
         self._note_datagram_sent(size)

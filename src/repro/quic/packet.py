@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.quic.frames import AckFrame, CryptoFrame, Frame, StreamFrame
 from repro.quic.varint import varint_size
@@ -43,13 +43,17 @@ class PacketType(enum.Enum):
 
     @property
     def space(self) -> Space:
-        if self is PacketType.INITIAL:
-            return Space.INITIAL
-        if self is PacketType.HANDSHAKE:
-            return Space.HANDSHAKE
-        if self is PacketType.ONE_RTT:
-            return Space.APPLICATION
-        raise ValueError("Retry packets carry no packet number")
+        try:
+            return _TYPE_SPACE[self]
+        except KeyError:
+            raise ValueError("Retry packets carry no packet number") from None
+
+
+_TYPE_SPACE = {
+    PacketType.INITIAL: Space.INITIAL,
+    PacketType.HANDSHAKE: Space.HANDSHAKE,
+    PacketType.ONE_RTT: Space.APPLICATION,
+}
 
 
 @dataclass(slots=True)
@@ -57,8 +61,9 @@ class Packet:
     """One QUIC packet: a type, a packet number, and frames.
 
     Frames are fixed after construction (padding helpers build new
-    packets), so the payload/header byte counts are computed once and
-    cached — ``wire_size()`` sits on the per-datagram hot path of both
+    packets), so the payload/header byte counts and ack-elicitation
+    are computed once, in one pass over the frames, when the packet is
+    built — ``wire_size()`` sits on the per-datagram hot path of both
     the recovery bookkeeping and the link model.
     """
 
@@ -70,27 +75,49 @@ class Packet:
     token: bytes = b""
     #: Packet-number encoding length in bytes (1..4).
     pn_length: int = 2
-    _payload_size: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _header_size: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _ack_eliciting: Optional[bool] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _payload_size: int = field(default=0, init=False, repr=False, compare=False)
+    _header_size: int = field(default=0, init=False, repr=False, compare=False)
+    _ack_eliciting: bool = field(default=False, init=False, repr=False, compare=False)
     _space: Space = field(default=Space.INITIAL, init=False, repr=False, compare=False)
-    _wire_size: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _wire_size: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.packet_number < 0:
             raise ValueError("packet number must be non-negative")
-        if not 1 <= self.pn_length <= 4:
+        pn_length = self.pn_length
+        if not 1 <= pn_length <= 4:
             raise ValueError("packet number length must be 1..4 bytes")
-        self.frames = tuple(self.frames)
-        self._space = self.packet_type.space
+        frames = self.frames = tuple(self.frames)
+        packet_type = self.packet_type
+        self._space = packet_type.space
+        payload = 0
+        eliciting = False
+        for frame in frames:
+            payload += frame.wire_size()
+            # RFC 9002 §2: a packet is ack-eliciting if any frame is.
+            eliciting = eliciting or frame.ack_eliciting
+        # Header shapes. Long header (§17.2): first byte, version (4),
+        # DCID len + DCID, SCID len + SCID, [token length + token for
+        # Initial], length field (varint covering pn + payload + tag),
+        # packet number. Short header (§17.3): first byte, DCID,
+        # packet number. Retry never gets here (no packet number).
+        if packet_type is PacketType.ONE_RTT:
+            header = 1 + len(self.dcid) + pn_length
+        else:
+            header = (
+                7
+                + len(self.dcid)
+                + len(self.scid)
+                + varint_size(pn_length + payload + AEAD_TAG_SIZE)
+                + pn_length
+            )
+            if packet_type is PacketType.INITIAL:
+                token_length = len(self.token)
+                header += varint_size(token_length) + token_length
+        self._payload_size = payload
+        self._header_size = header
+        self._ack_eliciting = eliciting
+        self._wire_size = header + payload + AEAD_TAG_SIZE
 
     @property
     def space(self) -> Space:
@@ -99,11 +126,7 @@ class Packet:
     @property
     def ack_eliciting(self) -> bool:
         """RFC 9002 §2: a packet is ack-eliciting if any frame is."""
-        cached = self._ack_eliciting
-        if cached is None:
-            cached = any(frame.ack_eliciting for frame in self.frames)
-            self._ack_eliciting = cached
-        return cached
+        return self._ack_eliciting
 
     @property
     def is_long_header(self) -> bool:
@@ -111,42 +134,15 @@ class Packet:
                                     PacketType.RETRY)
 
     def payload_size(self) -> int:
-        size = self._payload_size
-        if size is None:
-            size = sum(frame.wire_size() for frame in self.frames)
-            self._payload_size = size
-        return size
+        return self._payload_size
 
     def header_size(self) -> int:
-        """Byte-accurate header size for this packet's shape.
-
-        Long header (§17.2): first byte, version (4), DCID len + DCID,
-        SCID len + SCID, [token length + token for Initial], length
-        field (varint covering pn + payload + tag), packet number.
-        Short header (§17.3): first byte, DCID, packet number.
-        """
-        cached = self._header_size
-        if cached is not None:
-            return cached
-        payload = self.payload_size()
-        if self.is_long_header:
-            size = 1 + 4 + 1 + len(self.dcid) + 1 + len(self.scid)
-            if self.packet_type is PacketType.INITIAL:
-                size += varint_size(len(self.token)) + len(self.token)
-            size += varint_size(self.pn_length + payload + AEAD_TAG_SIZE)
-            size += self.pn_length
-        else:
-            size = 1 + len(self.dcid) + self.pn_length
-        self._header_size = size
-        return size
+        """Byte-accurate header size for this packet's shape."""
+        return self._header_size
 
     def wire_size(self) -> int:
         """Total bytes this packet occupies in a datagram."""
-        size = self._wire_size
-        if size is None:
-            size = self.header_size() + self.payload_size() + AEAD_TAG_SIZE
-            self._wire_size = size
-        return size
+        return self._wire_size
 
     # -- content inspection helpers used by endpoints and analyses ----
 

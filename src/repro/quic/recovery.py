@@ -325,6 +325,9 @@ class SpaceState:
     """Per-packet-number-space recovery state."""
 
     next_packet_number: int = 0
+    #: Outstanding packets by number. :meth:`Recovery.on_packet_sent`
+    #: rejects a packet below the newest outstanding number, so the map
+    #: always iterates in ascending packet-number order.
     sent: Dict[int, SentPacket] = field(default_factory=dict)
     largest_acked: Optional[int] = None
     loss_time_ms: Optional[float] = None
@@ -415,6 +418,12 @@ class Recovery:
         state = self.spaces[packet.space]
         if state.discarded:
             raise RuntimeError(f"space {packet.space.name} already discarded")
+        sent = state.sent
+        if sent and packet.packet_number < next(reversed(sent)):
+            raise RuntimeError(
+                f"packet {packet.packet_number} sent after packet "
+                f"{next(reversed(sent))} in space {packet.space.name}"
+            )
         sp = SentPacket(
             packet_number=packet.packet_number,
             time_sent_ms=now_ms,
@@ -424,7 +433,7 @@ class Recovery:
             packet=packet,
             is_probe=is_probe,
         )
-        state.sent[packet.packet_number] = sp
+        sent[packet.packet_number] = sp
         if packet.ack_eliciting:
             if in_flight:
                 state.ack_eliciting_in_flight_count += 1
@@ -450,36 +459,43 @@ class Recovery:
         if state.discarded:
             return AckResult(newly_acked=[], rtt_sample_ms=None, lost=[])
         newly_acked: List[SentPacket] = []
+        largest_sp: Optional[SentPacket] = None
+        any_eliciting = False
         sent = state.sent
         for low, high in ack.ranges:  # descending by high
             span = high - low + 1
             if span > len(sent):
                 # Wide range over a small outstanding set (the common
                 # steady-state shape: every ACK re-covers the whole
-                # history): scan the sent map instead of the range.
-                hits = sorted(
-                    (pn for pn in sent if low <= pn <= high), reverse=True
-                )
+                # history): scan the ascending sent map instead of the
+                # range, stopping past ``high``.
+                hits = []
+                for pn in sent:
+                    if pn > high:
+                        break
+                    if pn >= low:
+                        hits.append(pn)
+                hits.reverse()
             else:
                 hits = [pn for pn in range(high, low - 1, -1) if pn in sent]
             for pn in hits:
-                sp = sent[pn]
+                sp = sent.pop(pn)
                 newly_acked.append(sp)
+                if largest_sp is None or pn > largest_sp.packet_number:
+                    largest_sp = sp
+                if sp.ack_eliciting:
+                    any_eliciting = True
                 if sp.declared_lost:
                     # The "lost" packet was delivered after all: the
                     # retransmission we triggered was spurious.
                     self.spurious_retransmissions += 1
                 elif sp.ack_eliciting and sp.in_flight:
                     state.ack_eliciting_in_flight_count -= 1
-                del sent[pn]
         rtt_sample: Optional[float] = None
-        if newly_acked:
-            largest_newly = max(sp.packet_number for sp in newly_acked)
+        if largest_sp is not None:
+            largest_newly = largest_sp.packet_number
             if state.largest_acked is None or largest_newly > state.largest_acked:
                 state.largest_acked = largest_newly
-                largest_sp = next(
-                    sp for sp in newly_acked if sp.packet_number == largest_newly
-                )
                 take_sample = largest_sp.ack_eliciting
                 if space is Space.INITIAL and not self.config.use_initial_ack_rtt_sample:
                     take_sample = False
@@ -491,7 +507,7 @@ class Recovery:
                         # §5.3 / paper Appendix D).
                         delay = 0.0 if space is Space.INITIAL else ack.ack_delay_ms
                         self.estimator.update(rtt_sample, ack_delay_ms=delay)
-            if any(sp.ack_eliciting for sp in newly_acked):
+            if any_eliciting:
                 # Reset backoff on forward progress (RFC 9002 §6.2.1;
                 # clients keep backoff until address validation is
                 # certain — simplified here as a plain reset).
@@ -523,20 +539,23 @@ class Recovery:
             return []
         lost: List[SentPacket] = []
         loss_delay = self._loss_delay_ms()
-        detector = self.loss_detector
-        for pn in sorted(state.sent):
-            sp = state.sent[pn]
-            if pn > state.largest_acked:
-                continue
+        classify = self.loss_detector.classify
+        packet_threshold = self.config.packet_threshold
+        largest_acked = state.largest_acked
+        sent = state.sent
+        for pn in sent:
+            if pn > largest_acked:
+                break  # ascending order: nothing later is covered
+            sp = sent[pn]
             if sp.declared_lost:
                 continue
-            is_lost, candidate = detector.classify(
+            is_lost, candidate = classify(
                 packet_number=pn,
                 time_sent_ms=sp.time_sent_ms,
-                largest_acked=state.largest_acked,
+                largest_acked=largest_acked,
                 now_ms=now_ms,
                 loss_delay_ms=loss_delay,
-                packet_threshold=self.config.packet_threshold,
+                packet_threshold=packet_threshold,
             )
             if is_lost:
                 sp.declared_lost = True

@@ -35,6 +35,10 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.events import CellCompleted, EventSink, emit
 from repro.runtime.worker import IndexedCell, call_task
 
+#: Per-cell result hook of :meth:`MatrixRunner.run_cells`:
+#: ``(index, artifacts) -> entry``.
+ResultSink = Callable[[int, RunArtifacts], Any]
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -159,10 +163,19 @@ class MatrixRunner:
 
     # -- core execution -------------------------------------------------
 
-    def run_cells(self, cells: Sequence[Cell]) -> List[RunArtifacts]:
-        """Run every cell, returning results in cell order."""
+    def run_cells(self, cells: Sequence[Cell], sink: Optional[ResultSink] = None) -> List[Any]:
+        """Run every cell, returning results in cell order.
+
+        ``sink(index, artifacts)``, when given, receives each cell as
+        soon as it is available, and its return value takes the
+        artifacts' place in the returned list. In-process runs hand a
+        cell over before executing the next one, so a sink that spills
+        to disk keeps one cell's artifacts alive (plus any cells a
+        :attr:`result_observer` is still batching); backends hand over
+        each returned batch.
+        """
         level = self.artifact_level
-        results: List[Optional[RunArtifacts]] = [None] * len(cells)
+        results: List[Any] = [None] * len(cells)
         pending: List[IndexedCell] = []
         keys: List[Optional[Tuple[Any, ...]]] = [None] * len(cells)
         cache = self.cache
@@ -172,63 +185,65 @@ class MatrixRunner:
                 keys[i] = key
                 hit = cache.get(key)
                 if hit is not None:
-                    results[i] = hit
+                    results[i] = sink(i, hit) if sink is not None else hit
                     continue
             pending.append((i, cell.scenario, cell.seed))
-        if pending:
-            if self.workers > 1 or self.backend is not None:
-                computed = self._run_parallel(pending)
+        if not pending:
+            return results
+
+        def keep(i: int, artifacts: RunArtifacts) -> None:
+            if cache is not None:
+                cache.put(keys[i], artifacts)
+            results[i] = sink(i, artifacts) if sink is not None else artifacts
+
+        if self.workers > 1 or self.backend is not None:
+            for i, artifacts in self._run_parallel(pending):
                 # Workers strip the scenario from the response pickle;
                 # restore it from the authoritative cell list.
-                for i, artifacts in computed:
-                    artifacts.scenario = cells[i].scenario
+                artifacts.scenario = cells[i].scenario
+                keep(i, artifacts)
+        else:
+            observer = self.result_observer
+            journal: List[Tuple[int, RunArtifacts]] = []
+            done = 0
+
+            def finish(i: int, artifacts: RunArtifacts) -> None:
+                nonlocal done, journal
+                done += 1
+                keep(i, artifacts)
+                if self.on_event is not None:
+                    emit(
+                        self.on_event,
+                        CellCompleted(completed=done, total=len(pending)),
+                    )
+                if observer is not None:
+                    # Journal in small batches: one disk write per
+                    # cell would dominate sub-millisecond cells,
+                    # while a single end-of-run write would lose
+                    # everything to a crash.
+                    journal.append((i, artifacts))
+                    if len(journal) >= 32:
+                        observer(journal)
+                        journal = []
+
+            if self.engine != ENGINE_SCALAR:
+                # Cell expansion is scenario-major, so consecutive
+                # pending cells of one scenario form the engine's
+                # lockstep groups; one BatchEngine reuses skeleton
+                # probes across groups of the same call.
+                batch = BatchEngine()
+                for scenario, group in _group_pending(pending):
+                    pairs = [(i, seed) for i, _scenario, seed in group]
+                    for i, artifacts in execute_cells(
+                        scenario, pairs, level, engine=self.engine, batch_engine=batch
+                    ):
+                        finish(i, artifacts)
             else:
-                computed = []
-                observer = self.result_observer
-                journal: List[Tuple[int, RunArtifacts]] = []
-                done = 0
-
-                def finish(i: int, artifacts: RunArtifacts) -> None:
-                    nonlocal done, journal
-                    done += 1
-                    computed.append((i, artifacts))
-                    if self.on_event is not None:
-                        emit(
-                            self.on_event,
-                            CellCompleted(completed=done, total=len(pending)),
-                        )
-                    if observer is not None:
-                        # Journal in small batches: one disk write per
-                        # cell would dominate sub-millisecond cells,
-                        # while a single end-of-run write would lose
-                        # everything to a crash.
-                        journal.append((i, artifacts))
-                        if len(journal) >= 32:
-                            observer(journal)
-                            journal = []
-
-                if self.engine != ENGINE_SCALAR:
-                    # Cell expansion is scenario-major, so consecutive
-                    # pending cells of one scenario form the engine's
-                    # lockstep groups; one BatchEngine reuses skeleton
-                    # probes across groups of the same call.
-                    batch = BatchEngine()
-                    for scenario, group in _group_pending(pending):
-                        pairs = [(i, seed) for i, _scenario, seed in group]
-                        for i, artifacts in execute_cells(
-                            scenario, pairs, level, engine=self.engine, batch_engine=batch
-                        ):
-                            finish(i, artifacts)
-                else:
-                    for i, scenario, seed in pending:
-                        finish(i, execute_cell(scenario, seed, level))
-                if observer is not None and journal:
-                    observer(journal)
-            for i, artifacts in computed:
-                results[i] = artifacts
-                if cache is not None:
-                    cache.put(keys[i], artifacts)
-        return results  # type: ignore[return-value]
+                for i, scenario, seed in pending:
+                    finish(i, execute_cell(scenario, seed, level))
+            if observer is not None and journal:
+                observer(journal)
+        return results
 
     def _run_parallel(self, pending: Sequence[IndexedCell]) -> List[Tuple[int, RunArtifacts]]:
         # The backend owns chunking: an explicit chunk_size pins fixed

@@ -7,8 +7,11 @@ fit in memory once the matrix grows past a few thousand cells. The
 file in a spill directory and hands back a tiny
 :class:`ArtifactHandle`; consumers re-load cells on demand (the
 :class:`~repro.experiments.spec.CellResults` view loads one
-per-scenario group at a time), so peak memory is bounded by the batch
-size of the producing runner plus one group on the consuming side.
+per-scenario group at a time). In-process runs spill each cell as soon
+as it finishes, so peak memory is one cell on the producing side (one
+chunk batch when a worker backend computes the cells) plus one group
+on the consuming side. A checkpointed suite also keeps the up to 32
+cells its journal batches between writes.
 
 The store owns its directory when it created it (the default:
 ``tempfile.mkdtemp``) and deletes it on :meth:`close`; a caller-supplied
@@ -17,12 +20,14 @@ The store owns its directory when it created it (the default:
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
 
@@ -34,6 +39,28 @@ class ArtifactHandle:
     index: int
     path: str
     nbytes: int
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Keep the cyclic GC out of one (un)pickle, then restore the
+    caller's setting.
+
+    A trace-level cell unpickles into tens of thousands of tracked
+    objects, and each allocation counts toward the next collection,
+    so one ``get`` used to trigger several full passes over the whole
+    heap. Those passes cannot free anything: every object a load
+    creates stays reachable from the unpickler until it returns, and a
+    dump allocates almost nothing. Any collection the pause defers
+    runs at the next allocation after it.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class ArtifactStore:
@@ -100,7 +127,7 @@ class ArtifactStore:
         # file exists complete, or it does not exist at all.
         tmp_path = f"{path}.tmp.{os.getpid()}"
         try:
-            with open(tmp_path, "wb") as handle_file:
+            with open(tmp_path, "wb") as handle_file, _gc_paused():
                 pickle.dump(artifacts, handle_file, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp_path, path)
         except BaseException:
@@ -118,5 +145,5 @@ class ArtifactStore:
         """Load one spilled cell back into memory."""
         if self._closed:
             raise ValueError("artifact store is closed")
-        with open(handle.path, "rb") as handle_file:
+        with open(handle.path, "rb") as handle_file, _gc_paused():
             return pickle.load(handle_file)

@@ -27,10 +27,10 @@ match the standalone paths cell for cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import BackendError, CheckpointError, InvalidOverride
-from repro.runtime.artifacts import ArtifactLevel
+from repro.runtime.artifacts import ArtifactLevel, RunArtifacts
 from repro.runtime.backend import ExecutionBackend
 from repro.runtime.cache import ResultCache, scenario_key
 from repro.runtime.checkpoint import SuiteCheckpoint, plan_fingerprint
@@ -73,19 +73,44 @@ def max_level(levels: Sequence[ArtifactLevel]) -> ArtifactLevel:
 def run_cells_streamed(
     runner: MatrixRunner,
     cells: Sequence[Cell],
-    store: ArtifactStore,
+    store: Optional[ArtifactStore],
     batch_size: int = STREAM_BATCH_CELLS,
-) -> List[ArtifactHandle]:
-    """Execute cells in batches, spilling each batch to ``store``
-    before dispatching the next — peak memory is one batch of
-    artifacts instead of the whole sweep."""
+    on_result: Optional[Callable[[int, RunArtifacts], None]] = None,
+) -> List[Any]:
+    """Execute cells in batches, spilling each cell to ``store`` as
+    soon as the runner hands it over.
+
+    In-process that is the moment the cell finishes, so peak memory is
+    one cell's artifacts; a worker backend hands over one batch at a
+    time. Returns one entry per cell, in order: an
+    :class:`ArtifactHandle`, or the artifacts themselves when
+    ``store`` is ``None``. ``on_result(index, artifacts)`` sees every
+    cell before it is spilled, and the runner's
+    :attr:`~MatrixRunner.result_observer` (if any) receives indices
+    into ``cells`` rather than into the current batch.
+    """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    handles: List[ArtifactHandle] = []
-    for start in range(0, len(cells), batch_size):
-        batch = runner.run_cells(cells[start : start + batch_size])
-        handles.extend(store.put(artifacts) for artifacts in batch)
-    return handles
+    observer = runner.result_observer
+    entries: List[Any] = []
+    try:
+        for start in range(0, len(cells), batch_size):
+
+            def spill(index: int, artifacts: RunArtifacts, start: int = start) -> Any:
+                if on_result is not None:
+                    on_result(start + index, artifacts)
+                return store.put(artifacts) if store is not None else artifacts
+
+            if observer is not None:
+
+                def shifted(batch, start: int = start) -> None:
+                    observer([(start + index, artifacts) for index, artifacts in batch])
+
+                runner.result_observer = shifted
+            entries.extend(runner.run_cells(cells[start : start + batch_size], sink=spill))
+    finally:
+        runner.result_observer = observer
+    return entries
 
 
 @dataclass
@@ -544,35 +569,30 @@ class SuiteRunner:
                 artifacts.scenario = cell.scenario
                 entries_by_slot[slot] = store.put(artifacts) if store is not None else artifacts
         positions = [slot for slot in range(len(cells)) if slot not in entries_by_slot]
-        pending = [cells[slot] for slot in positions]
-        if pending:
-            batch_size = STREAM_BATCH_CELLS if store is not None else len(pending)
-            base = 0
+        if not positions:
+            return [entries_by_slot[slot] for slot in range(len(cells))]
+
+        def feed_disk_cache(index: int, artifacts: Any) -> None:
+            slot = positions[index]
+            if slot in disk_keys:
+                disk.put(disk_keys[slot], artifacts)
+
+        if checkpoint is not None:
+            runner.result_observer = lambda batch: checkpoint.record(
+                [(positions[index], artifacts) for index, artifacts in batch]
+            )
+        try:
+            fresh = run_cells_streamed(
+                runner,
+                [cells[slot] for slot in positions],
+                store,
+                batch_size=STREAM_BATCH_CELLS if store is not None else len(positions),
+                on_result=feed_disk_cache if disk_keys else None,
+            )
+        finally:
             if checkpoint is not None:
-
-                def journal(batch):
-                    # Indices from the runner are batch-local; shift
-                    # them to plan-global positions before they hit
-                    # the journal.
-                    checkpoint.record(
-                        [(positions[base + index], artifacts) for index, artifacts in batch]
-                    )
-
-                runner.result_observer = journal
-            try:
-                for start in range(0, len(pending), batch_size):
-                    base = start
-                    batch = runner.run_cells(pending[start : start + batch_size])
-                    for offset, artifacts in enumerate(batch):
-                        slot = positions[start + offset]
-                        if disk is not None and slot in disk_keys:
-                            disk.put(disk_keys[slot], artifacts)
-                        entries_by_slot[slot] = (
-                            store.put(artifacts) if store is not None else artifacts
-                        )
-            finally:
-                if checkpoint is not None:
-                    runner.result_observer = None
+                runner.result_observer = None
+        entries_by_slot.update(zip(positions, fresh))
         return [entries_by_slot[slot] for slot in range(len(cells))]
 
     def _name_poison(self, exc: BackendError, plan: SuitePlan) -> Optional[BackendError]:

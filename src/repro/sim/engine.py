@@ -77,12 +77,15 @@ class EventLoop:
     """
 
     __slots__ = (
-        "_now", "_seq", "_heap", "_running", "_processed",
+        "now", "_seq", "_heap", "_running", "_processed",
         "_cancelled_pending", "_compactions",
     )
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulated time in milliseconds. A plain slot rather
+        #: than a property: endpoints read it on every packet. Only
+        #: :meth:`run` advances it.
+        self.now: float = 0.0
         self._seq: int = 0
         self._heap: List[Tuple[float, int, Timer]] = []
         self._running = False
@@ -91,11 +94,6 @@ class EventLoop:
         #: ``pending()`` is O(1) and compaction knows when to trigger.
         self._cancelled_pending = 0
         self._compactions = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -109,9 +107,9 @@ class EventLoop:
 
     def call_at(self, when: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at absolute time ``when`` (ms)."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past: {when:.3f} < now {self._now:.3f}"
+                f"cannot schedule event in the past: {when:.3f} < now {self.now:.3f}"
             )
         timer = Timer(when, callback, args, loop=self)
         timer._scheduled = True
@@ -123,11 +121,11 @@ class EventLoop:
         """Schedule ``callback(*args)`` after ``delay`` milliseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.call_at(self._now + delay, callback, *args)
+        return self.call_at(self.now + delay, callback, *args)
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at the current time."""
-        return self.call_at(self._now, callback, *args)
+        return self.call_at(self.now, callback, *args)
 
     def _note_cancelled(self, timer: Timer) -> None:
         """Timer cancellation hook: count it and compact the heap once
@@ -182,7 +180,7 @@ class EventLoop:
                 if timer._cancelled:
                     self._cancelled_pending -= 1
                     continue
-                self._now = when
+                self.now = when
                 executed += 1
                 budget -= 1
                 if budget < 0:
@@ -195,9 +193,9 @@ class EventLoop:
         finally:
             self._running = False
             self._processed += executed
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def run_until_idle(self, max_events: int = 5_000_000) -> float:
         """Run until no events remain."""
@@ -208,4 +206,4 @@ class EventLoop:
         return len(self._heap) - self._cancelled_pending
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<EventLoop now={self._now:.3f}ms pending={self.pending()}>"
+        return f"<EventLoop now={self.now:.3f}ms pending={self.pending()}>"

@@ -90,8 +90,9 @@ class Link:
         index = self._offered
         now = self.loop.now
         drop = self.loss.should_drop(index, size)
-        if self.tracer is not None:
-            self.tracer.record(
+        tracer = self.tracer
+        if tracer is not None and tracer.capture:
+            tracer.record(
                 time_ms=now, link=self.name, index=index, size=size,
                 dropped=drop, payload=payload,
             )

@@ -1,7 +1,9 @@
 """Disk-streamed artifact spill: round trip, ownership, and the
 lazy CellResults view."""
 
+import gc
 import os
+import pickle
 
 import pytest
 
@@ -15,6 +17,10 @@ from repro.runtime import (
     execute_cell,
     run_cells_streamed,
 )
+
+
+#: What a dump that hits an unpicklable attribute may raise.
+PICKLE_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
 
 
 def _artifacts(level=ArtifactLevel.STATS, seed=0):
@@ -58,21 +64,23 @@ def test_full_level_artifacts_rejected():
             store.put(_artifacts(ArtifactLevel.FULL))
 
 
+def _unpicklable_artifacts():
+    bad = _artifacts()
+    # A few hundred KB of picklable payload followed by an unpicklable
+    # tail: the dump writes real bytes, then dies mid-stream.
+    bad.trace_records = [b"x" * 300_000, lambda: None]
+    return bad
+
+
 def test_interrupted_put_leaves_no_truncated_cell(tmp_path):
     """A pickle that dies mid-stream (process kill, unpicklable
     attribute, full disk) must never leave a partial cell-NNNNNN.pkl
     for a later get() to unpickle as garbage: the write goes to a temp
     file and only an atomic rename publishes it."""
-    import pickle as pickle_mod
-
     root = tmp_path / "spill"
     store = ArtifactStore(str(root))
-    bad = _artifacts()
-    # A few hundred KB of picklable payload followed by an unpicklable
-    # tail: the dump writes real bytes, then dies mid-stream.
-    bad.trace_records = [b"x" * 300_000, lambda: None]
-    with pytest.raises((pickle_mod.PicklingError, AttributeError, TypeError)):
-        store.put(bad)
+    with pytest.raises(PICKLE_ERRORS):
+        store.put(_unpicklable_artifacts())
     # No cell file, no temp leftover, no phantom accounting.
     assert list(root.iterdir()) == []
     assert len(store) == 0 and store.bytes_written == 0
@@ -82,6 +90,49 @@ def test_interrupted_put_leaves_no_truncated_cell(tmp_path):
     assert handle.index == 0
     assert store.get(handle).client_stats == good.client_stats
     store.close()
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's state whatever a test leaves behind."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_put_get_leave_gc_state_as_found(tmp_path, gc_state, enabled):
+    """put/get pause the cyclic GC around (un)pickling and hand the
+    caller's setting back, including a caller that had it off."""
+    (gc.enable if enabled else gc.disable)()
+    with ArtifactStore(str(tmp_path / "spill")) as store:
+        handle = store.put(_artifacts(ArtifactLevel.TRACE))
+        assert gc.isenabled() is enabled
+        store.get(handle)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_failed_put_leaves_gc_state_as_found(tmp_path, gc_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    with ArtifactStore(str(tmp_path / "spill")) as store:
+        with pytest.raises(PICKLE_ERRORS):
+            store.put(_unpicklable_artifacts())
+        assert gc.isenabled() is enabled
+
+
+def test_failed_get_leaves_gc_state_as_found(tmp_path, gc_state):
+    gc.enable()
+    with ArtifactStore(str(tmp_path / "spill")) as store:
+        handle = store.put(_artifacts())
+        with open(handle.path, "r+b") as cell:
+            cell.truncate(handle.nbytes // 2)
+        with pytest.raises((EOFError, pickle.UnpicklingError)):
+            store.get(handle)
+        assert gc.isenabled()
 
 
 def test_closed_store_rejects_io():

@@ -5,7 +5,7 @@ import pytest
 from repro.quic.coalescing import (
     Datagram,
     MAX_DATAGRAM_SIZE,
-    coalesce,
+    coalesce_groups,
     pad_initial,
 )
 from repro.quic.frames import AckFrame, CryptoFrame, PaddingFrame, PingFrame
@@ -110,7 +110,8 @@ def test_coalesce_respects_max_size():
         Packet(PacketType.HANDSHAKE, pn, (CryptoFrame(offset=pn * 500, length=500),))
         for pn in range(5)
     ]
-    datagrams = coalesce(packets, max_datagram_size=MAX_DATAGRAM_SIZE)
+    groups = coalesce_groups(packets, max_datagram_size=MAX_DATAGRAM_SIZE)
+    datagrams = [Datagram(packets=tuple(group)) for group in groups]
     assert all(d.size <= MAX_DATAGRAM_SIZE for d in datagrams)
     assert sum(len(d.packets) for d in datagrams) == 5
 
@@ -118,9 +119,9 @@ def test_coalesce_respects_max_size():
 def test_coalesce_keeps_packet_order():
     initial = _initial((CryptoFrame(offset=0, length=50),))
     handshake = Packet(PacketType.HANDSHAKE, 0, (CryptoFrame(offset=0, length=50),))
-    datagrams = coalesce([initial, handshake])
-    assert len(datagrams) == 1
-    assert datagrams[0].packets[0].packet_type is PacketType.INITIAL
+    groups = coalesce_groups([initial, handshake])
+    assert len(groups) == 1
+    assert groups[0][0].packet_type is PacketType.INITIAL
 
 
 def test_retry_packet_size_and_description():
